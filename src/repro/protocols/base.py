@@ -39,7 +39,12 @@ from repro.cluster.topology import Topology
 from repro.metrics.collectors import MetricsRegistry
 from repro.protocols import messages as m
 from repro.protocols.batching import ReplicationBatcher
-from repro.protocols.core import ProtocolCore, ProtocolRuntime
+from repro.protocols.core import (
+    BACKGROUND,
+    FOREGROUND,
+    ProtocolCore,
+    ProtocolRuntime,
+)
 from repro.storage.store import PartitionStore
 from repro.storage.version import Version
 
@@ -54,6 +59,19 @@ CATCHUP_TIMEOUT_S = 10.0
 #: everything a client (or a coordinator acting for one) can observe
 #: state through.  Server-to-server machinery keeps flowing.
 _CLIENT_FACING = (m.GetReq, m.PutReq, m.RoTxReq, m.SliceReq, m.CopsPutReq)
+
+#: Message classes handled at BACKGROUND priority (exact types: message
+#: dataclasses are never subclassed).  Handoff streams and view gossip
+#: are bulk/background work; the reshard *control* messages (propose,
+#: start, commit, acks) stay foreground so a saturated node cannot stall
+#: a view change indefinitely.
+_BACKGROUND_TYPES = frozenset((
+    m.Replicate, m.ReplicateBatch, m.Heartbeat,
+    m.StabPush, m.StabBroadcast, m.UstGossip,
+    m.GcPush, m.GcBroadcast,
+    m.AeDigest, m.AeRepair,
+    m.MigrateChunk, m.ViewGossip,
+))
 
 
 class _Waiter:
@@ -791,18 +809,7 @@ class CausalServer(ProtocolCore):
         request-threads-vs-apply-threads structure of real stores.  Under
         saturation the background class starves — the paper's stated cause
         of load-dependent blocking (POCC) and staleness (Cure*)."""
-        from repro.protocols.core import BACKGROUND, FOREGROUND
-        if isinstance(msg, (m.Replicate, m.ReplicateBatch, m.Heartbeat,
-                            m.StabPush, m.StabBroadcast, m.UstGossip,
-                            m.GcPush, m.GcBroadcast,
-                            m.AeDigest, m.AeRepair,
-                            m.MigrateChunk, m.ViewGossip)):
-            # Handoff streams and view gossip are bulk/background work;
-            # the reshard *control* messages (propose, start, commit,
-            # acks) stay foreground so a saturated node cannot stall a
-            # view change indefinitely.
-            return BACKGROUND
-        return FOREGROUND
+        return BACKGROUND if type(msg) in _BACKGROUND_TYPES else FOREGROUND
 
     def dispatch(self, msg: Any) -> None:
         mem = self._membership

@@ -10,9 +10,11 @@ decodes length-prefixed frames into ``core.on_message``, its ``send``
 posts frames to the hub, and its timers are ``loop.call_later``
 callbacks.
 
-Everything runs on a single event loop (no locks): protocol handlers are
-synchronous functions invoked from reader tasks and timer callbacks, just
-as they are invoked from engine events in the simulation.
+Everything runs on a single event loop (no locks), in plain callbacks:
+protocol handlers are synchronous functions invoked from
+``data_received`` and timers, just as they are invoked from engine events
+in the simulation, and one per-tick flush hands outgoing frames to their
+sockets.  The only tasks are short-lived: one per connection being dialed.
 
 Differences from the simulated substrate, by design:
 
@@ -102,13 +104,13 @@ class LinkFault:
         #: fault hit the traffic it targeted on either backend.
         self.dropped_by_type: dict[str, int] = {}
 
-#: Per-channel write coalescing cap: a sender gathers every frame queued
-#: for its destination — everything posted during the event-loop ticks it
-#: spent waiting or writing — into one ``writelines`` of at most this
-#: many bytes.  The cap bounds both the transport's buffered backlog and
-#: how long one destination can monopolize the loop; frames beyond it
-#: simply start the next batch.  Framing on the wire is unchanged (concatenated
-#: length-prefixed frames), so receivers need no batching awareness.
+#: Per-channel write coalescing cap: the per-tick flush hands a channel
+#: every frame pending for its destination — everything posted during
+#: the tick, plus whatever waited out a dial or a backed-up socket — in
+#: ``writelines`` calls of at most this many bytes each; frames beyond
+#: the cap simply start the next write.  Framing on the wire is unchanged
+#: (concatenated length-prefixed frames), so receivers need no batching
+#: awareness.
 MAX_BATCH_BYTES = 256 * 1024
 
 #: The live backend's time origin: 2026-01-01T00:00:00Z as Unix seconds.
@@ -126,19 +128,19 @@ class TransportError(ReproError):
     """Raised on address-book or connection misuse."""
 
 
-def apply_socket_tuning(writer: asyncio.StreamWriter,
+def apply_socket_tuning(transport: asyncio.BaseTransport,
                         tuning: TransportTuningConfig) -> None:
-    """Apply the configured socket knobs to one stream's socket.
+    """Apply the configured socket knobs to one connection's socket.
 
     Best-effort: non-TCP transports (or platforms rejecting an option)
     keep their defaults — tuning is a performance lever, never a
     correctness requirement.
     """
-    sock = writer.get_extra_info("socket")
+    sock = transport.get_extra_info("socket")
     if sock is None:
         return
     try:
-        # asyncio enables TCP_NODELAY on TCP streams by default; setting
+        # asyncio enables TCP_NODELAY on TCP sockets by default; setting
         # it explicitly both covers loops that do not and lets
         # `tcp_nodelay=False` hand the coalescing decision back to Nagle
         # (to measure its interplay with application-level batching).
@@ -206,12 +208,6 @@ class AddressBook:
             raise TransportError(f"no address-book entry for {address}") \
                 from None
 
-    def __contains__(self, address: Address) -> bool:
-        return address in self._entries
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
 
 def metrics_port_map(
     topology: Topology,
@@ -244,22 +240,25 @@ class LiveTimer:
     stays true (a dead periodic tick never reschedules itself).
     """
 
-    __slots__ = ("_handle", "_fired")
+    __slots__ = ("_hub", "_fn", "_args", "_handle", "_fired")
 
     def __init__(self, hub: "LiveHub", delay: float, fn, args: tuple):
+        self._hub = hub
+        self._fn = fn
+        self._args = args
         self._fired = False
+        loop = hub._loop or hub.loop
+        # Zero delay (the closed-loop driver's next issue) skips the heap.
+        self._handle = (loop.call_later(delay, self._fire) if delay > 0
+                        else loop.call_soon(self._fire))
 
-        def fire() -> None:
-            self._fired = True
-            try:
-                fn(*args)
-            except Exception as exc:
-                hub.errors.append(
-                    f"timer callback {getattr(fn, '__qualname__', fn)!r} "
-                    f"failed: {exc!r}"
-                )
-
-        self._handle = hub.loop.call_later(max(delay, 0.0), fire)
+    def _fire(self) -> None:
+        self._fired = True
+        try:
+            self._fn(*self._args)
+        except Exception as exc:
+            name = getattr(self._fn, "__qualname__", self._fn)
+            self._hub.errors.append(f"timer callback {name!r} failed: {exc!r}")
 
     def cancel(self) -> bool:
         if self._fired or self._handle.cancelled():
@@ -286,24 +285,24 @@ class LiveStats:
         self.messages_delivered = 0
         self.bytes_sent = 0
         self.decode_errors = 0
-        #: Frames discarded because their destination's sender died with
-        #: them still queued (the peer stayed down past the retry budget).
+        #: Frames discarded because their destination's channel died with
+        #: them still pending (the peer stayed down past the retry budget).
         self.messages_dropped = 0
-        #: Channels re-dialed after their sender died — a crashed peer
+        #: Channels re-dialed after their connection died — a crashed peer
         #: coming back (kill/restart recovery) shows up here.
         self.reconnects = 0
         #: Inbound connections that ended mid-frame (peer killed between
         #: frames' bytes).  Distinguished from decode_errors: a torn tail
         #: is an abrupt disconnect, not stream corruption.
         self.truncated_streams = 0
-        #: Socket writes issued by senders (each carries >= 1 frame);
+        #: Writes handed to transports (each carries >= 1 frame);
         #: ``messages_sent / batches_sent`` is the mean coalescing factor.
         self.batches_sent = 0
         #: Frames that shared their write with at least one other frame.
         self.batched_frames = 0
         self.max_batch_frames = 0
-        #: Dial attempts by senders (successful or not); minus the number
-        #: of channels ever opened, this is how much retrying happened.
+        #: Dial attempts (successful or not); minus the number of
+        #: channels ever opened, this is how much retrying happened.
         self.connect_attempts = 0
         #: Frames dropped / delayed by injected link faults.
         self.chaos_dropped = 0
@@ -311,6 +310,131 @@ class LiveStats:
         #: Frames discarded because their destination was retired (a
         #: peer resharded out of the cluster and shut down for good).
         self.retired_frames = 0
+
+
+class _Channel(asyncio.Protocol):
+    """The one ordered connection from this process to a destination.
+
+    Frames wait in ``pending`` for the hub's per-tick flush; while the
+    channel is still dialing or the socket is backed up they keep
+    waiting, in post order, and go out from ``connection_made`` /
+    ``resume_writing``.  Once its connection is gone a channel is
+    ``dead`` and the hub dials a fresh one on the next post.
+    """
+
+    __slots__ = ("hub", "dst", "pending", "transport", "paused", "dead",
+                 "dialer")
+
+    def __init__(self, hub: "LiveHub", dst: Address):
+        self.hub = hub
+        self.dst = dst
+        self.pending: list[bytes] = []
+        self.transport: asyncio.Transport | None = None
+        self.paused = False
+        self.dead = False
+        self.dialer = hub.loop.create_task(self._dial())
+
+    async def _dial(self) -> None:
+        """Connect, retrying per the hub's policy until its budget ends."""
+        hub, loop = self.hub, self.hub.loop
+        policy = hub.connect_policy
+        rng = random.Random()
+        deadline = loop.time() + policy.max_elapsed_s
+        delay = policy.initial_delay_s
+        try:
+            while True:
+                # Re-resolve each attempt: an ephemeral-port peer records
+                # its real port only once its listener has bound.
+                host, port = hub.book.lookup(self.dst)
+                if port != 0:
+                    hub.stats.connect_attempts += 1
+                    try:
+                        await loop.create_connection(lambda: self, host, port)
+                        return
+                    except OSError:
+                        pass
+                remaining = deadline - loop.time()
+                if remaining <= 0:
+                    break
+                pause = policy.jittered(delay, rng)
+                await asyncio.sleep(min(pause, remaining))
+                delay = policy.next_delay(delay)
+            self._abandon(f"could not connect to {self.dst} at {host}:{port}")
+        except Exception as exc:  # e.g. no address-book entry
+            self._abandon(f"sender to {self.dst} failed: {exc!r}")
+
+    def _abandon(self, error: str | None) -> None:
+        """Nothing more will be written here: what is still pending is
+        counted dropped, once; ``error`` is None for the hub's own doing."""
+        if self.dead:
+            return
+        self.dead = True
+        self.hub.stats.messages_dropped += len(self.pending)
+        self.pending.clear()
+        if error is not None:
+            self.hub.errors.append(error)
+
+    def close(self) -> None:
+        """Tear the channel down (hub shutdown, retirement)."""
+        self._abandon(None)
+        self.dialer.cancel()
+        if self.transport is not None:
+            self.transport.close()
+
+    def busy(self) -> bool:
+        """True while a posted frame has not reached the socket."""
+        return bool(self.pending or (
+            self.transport and self.transport.get_write_buffer_size()))
+
+    def connection_made(self, transport) -> None:
+        if self.dead:  # closed while the dial was completing
+            transport.abort()
+            return
+        self.transport = transport
+        apply_socket_tuning(transport, self.hub.tuning)
+        self.flush()
+
+    def connection_lost(self, exc: Exception | None) -> None:
+        # A clean close is what a peer's graceful shutdown looks like
+        # from here; only a reset or a failed write is an error.
+        self._abandon(None if exc is None
+                      else f"sender to {self.dst} failed: {exc!r}")
+
+    def pause_writing(self) -> None:
+        self.paused = True
+
+    def resume_writing(self) -> None:
+        self.paused = False
+        self.flush()
+
+    def flush(self) -> None:
+        """Hand pending frames to the transport, in writes of at most
+        ``MAX_BATCH_BYTES`` (a bigger frame goes alone), until it pauses."""
+        transport, frames, stats = self.transport, self.pending, self.hub.stats
+        if transport is None:
+            return
+        start, total = 0, len(frames)
+        while start < total and not self.paused:
+            size = len(frames[start])
+            end = start + 1
+            while end < total:
+                size += len(frames[end])
+                if size > MAX_BATCH_BYTES:
+                    break
+                end += 1
+            count = end - start
+            if count == 1:
+                transport.write(frames[start])
+            else:
+                # writev-style: uvloop scatters the list to the socket,
+                # the stdlib loop defers any join to C.
+                transport.writelines(frames[start:end])
+                stats.batched_frames += count
+                if count > stats.max_batch_frames:
+                    stats.max_batch_frames = count
+            stats.batches_sent += 1
+            start = end
+        del frames[:start]
 
 
 class LiveHub:
@@ -337,8 +461,10 @@ class LiveHub:
         # TimeSource contract every rt.now consumer relies on).
         self._mono_anchor = (time.time() - LIVE_EPOCH_UNIX_S
                              - time.monotonic())
-        #: dst -> (frame queue, sender task) of the per-destination channel.
-        self._channels: dict[Address, tuple[asyncio.Queue, asyncio.Task]] = {}
+        #: dst -> the per-destination channel.
+        self._channels: dict[Address, _Channel] = {}
+        #: Channels that got their first pending frame this tick.
+        self._dirty: list[_Channel] = []
         #: Destinations retired for good (peer resharded out and shut
         #: down): frames to them are silently discarded instead of
         #: burning a connect-retry budget — and recording a transport
@@ -395,9 +521,6 @@ class LiveHub:
     def clear_link_fault(self, src_dc: int, dst_dc: int) -> None:
         self._link_faults.pop((src_dc, dst_dc), None)
 
-    def clear_link_faults(self) -> None:
-        self._link_faults.clear()
-
     def link_fault(self, src_dc: int, dst_dc: int) -> LinkFault | None:
         """The fault on one directed channel (fast None when no chaos)."""
         if not self._link_faults:
@@ -407,12 +530,6 @@ class LiveHub:
     # ------------------------------------------------------------------
     # Outgoing frames
     # ------------------------------------------------------------------
-    def post(self, dst: Address, msg: Any) -> None:
-        """Queue one message for delivery to ``dst`` (FIFO per process)."""
-        # encode_frame memoizes by message identity, so a fan-out posting
-        # the same immutable payload to every peer serializes it once.
-        self.post_frame(dst, codec.encode_frame(msg))
-
     def retire(self, dst: Address) -> None:
         """Stop delivering to ``dst`` permanently.
 
@@ -427,7 +544,7 @@ class LiveHub:
         self._retired.add(dst)
         channel = self._channels.pop(dst, None)
         if channel is not None:
-            channel[1].cancel()
+            channel.close()
 
     def unretire(self, dst: Address) -> None:
         """Allow delivery to ``dst`` again (it rejoined the cluster)."""
@@ -437,184 +554,72 @@ class LiveHub:
         return dst in self._retired
 
     def post_frame(self, dst: Address, frame: bytes) -> None:
-        """Queue one pre-encoded frame (fan-outs encode the frame once)."""
+        """Queue one pre-encoded frame (fan-outs encode the frame once).
+
+        The first frame of a tick arms one ``_flush`` for the next, so
+        everything posted to a destination within a tick shares a write.
+        """
         if self._closed:
             return
         if self._retired and dst in self._retired:
             self.stats.retired_frames += 1
             return
         channel = self._channels.get(dst)
-        if channel is not None and channel[1].done():
-            # The sender to this peer died (its failure is already in
-            # `errors`, its undelivered frames already counted dropped).
-            # Retire it and dial fresh: a crashed peer that restarted
-            # from its WAL must be reachable again, and the new sender's
-            # own retry budget bounds how long a still-dead peer can
-            # accumulate queued frames.
-            del self._channels[dst]
+        if channel is not None and channel.dead:
+            # The connection to this peer died (its undelivered frames
+            # are already counted dropped).  Dial fresh: a crashed peer
+            # that restarted from its WAL must be reachable again, and
+            # the new dial's retry budget bounds how long a still-dead
+            # peer can accumulate pending frames.
             self.stats.reconnects += 1
             channel = None
         self.stats.messages_sent += 1
         self.stats.bytes_sent += len(frame)
         if channel is None:
-            queue: asyncio.Queue = asyncio.Queue()
-            task = self.loop.create_task(self._sender(dst, queue))
-            self._channels[dst] = channel = (queue, task)
-        channel[0].put_nowait(frame)
+            channel = self._channels[dst] = _Channel(self, dst)
+        pending = channel.pending
+        if not pending:
+            if not self._dirty:
+                self.loop.call_soon(self._flush)
+            self._dirty.append(channel)
+        pending.append(frame)
 
-    async def _sender(self, dst: Address, queue: asyncio.Queue) -> None:
-        """One ordered connection per destination; retries early connects."""
-        writer = None
-        carry: bytes | None = None
-        try:
-            policy = self.connect_policy
-            rng = random.Random()
-            deadline = self.loop.time() + policy.max_elapsed_s
-            delay = policy.initial_delay_s
-            host, port = self.book.lookup(dst)
-            while True:
-                # Re-resolve each attempt: an ephemeral-port peer records
-                # its real port only once its listener has bound.
-                host, port = self.book.lookup(dst)
-                if port != 0:
-                    self.stats.connect_attempts += 1
-                    try:
-                        _, writer = await asyncio.open_connection(host, port)
-                        break
-                    except OSError:
-                        pass
-                remaining = deadline - self.loop.time()
-                if remaining <= 0:
-                    break
-                await asyncio.sleep(
-                    min(policy.jittered(delay, rng), remaining)
-                )
-                delay = policy.next_delay(delay)
-            if writer is None:
-                self.errors.append(
-                    f"could not connect to {dst} at {host}:{port}"
-                )
-                return
-            apply_socket_tuning(writer, self.tuning)
-            stats = self.stats
-            while True:
-                if carry is not None:
-                    frame, carry = carry, None
-                else:
-                    frame = await queue.get()
-                # Coalesce: everything already queued for this peer rides
-                # the same write (one syscall, one drain), up to the
-                # batch-bytes cap.  Frames accumulate while this sender
-                # awaits the socket, so batches grow exactly when the
-                # per-frame overhead would hurt most.
-                parts = [frame]
-                size = len(frame)
-                while size < MAX_BATCH_BYTES:
-                    try:
-                        nxt = queue.get_nowait()
-                    except asyncio.QueueEmpty:
-                        break
-                    if size + len(nxt) > MAX_BATCH_BYTES:
-                        # Over the cap: this frame opens the *next* batch
-                        # instead of overshooting this one.  (A frame
-                        # bigger than the cap on its own still goes out,
-                        # alone, as a batch's first frame.)
-                        carry = nxt
-                        break
-                    parts.append(nxt)
-                    size += len(nxt)
-                try:
-                    # writelines is writev-style: the transport takes the
-                    # frame list as-is (uvloop scatters it to the socket;
-                    # the stdlib loop defers any join to C) — no
-                    # per-batch b"".join copy on this hot path.
-                    if len(parts) > 1:
-                        writer.writelines(parts)
-                    else:
-                        writer.write(frame)
-                    await writer.drain()
-                except asyncio.CancelledError:
-                    raise
-                except Exception:
-                    # The whole popped batch dies with the connection;
-                    # count it here — the cleanup below only sees frames
-                    # still queued, and the reconnect path in post_frame
-                    # relies on dead senders' frames being fully counted.
-                    self.stats.messages_dropped += len(parts)
-                    raise
-                finally:
-                    # task_done() only after the bytes hit the transport:
-                    # hub.drain()'s queue.join() then covers the popped-
-                    # but-not-yet-written frames, not just queued ones.
-                    for _ in parts:
-                        queue.task_done()
-                stats.batches_sent += 1
-                if len(parts) > 1:
-                    stats.batched_frames += len(parts)
-                    if len(parts) > stats.max_batch_frames:
-                        stats.max_batch_frames = len(parts)
-        except asyncio.CancelledError:
-            raise
-        except Exception as exc:  # connection died mid-run
-            self.errors.append(f"sender to {dst} failed: {exc!r}")
-        finally:
-            # Whatever is still queued will never be written by *this*
-            # sender: count it dropped and release drain()'s join().  A
-            # later post to the same destination dials a fresh channel.
-            # A carried frame was already popped, so drain()'s join() is
-            # waiting on its task_done too.
-            if carry is not None:
-                queue.task_done()
-                self.stats.messages_dropped += 1
-            while not queue.empty():
-                queue.get_nowait()
-                queue.task_done()
-                self.stats.messages_dropped += 1
-            if writer is not None:
-                writer.close()
+    def _flush(self) -> None:
+        """The per-tick write; a channel that cannot write yet keeps its
+        frames and flushes itself once connected / resumed."""
+        dirty, self._dirty = self._dirty, []
+        for channel in dirty:
+            channel.flush()
 
     # ------------------------------------------------------------------
     # Shutdown
     # ------------------------------------------------------------------
     async def drain(self, timeout_s: float = 10.0) -> None:
-        """Wait until every posted outgoing frame has been *written*.
+        """Wait until every posted outgoing frame has reached its socket.
 
-        ``queue.join()`` covers the frame a sender has popped but not yet
-        flushed, so close() cannot cancel a write mid-frame after a clean
-        drain.  Bounded, and skips channels whose sender died (their
-        failure is already in :attr:`errors`) — a dead sender's queue can
-        never finish, and periodic timers may even keep refilling it.
+        Channel by channel: nothing pending and an empty transport write
+        buffer, so close() cannot cut a frame short after a clean drain.
+        Bounded, skips dead channels (their failure is already in
+        :attr:`errors`), and polls: this is a shutdown path.
         """
         deadline = self.loop.time() + timeout_s
-        for dst, (queue, task) in list(self._channels.items()):
-            if task.done():
-                continue
-            remaining = deadline - self.loop.time()
-            if remaining <= 0:
-                self.errors.append(f"drain timeout before flushing {dst}")
-                return
-            try:
-                await asyncio.wait_for(queue.join(), remaining)
-            except asyncio.TimeoutError:
-                self.errors.append(
-                    f"drain timeout: {queue.qsize()} frame(s) still "
-                    f"queued for {dst}"
-                )
-                return
+        for dst, channel in list(self._channels.items()):
+            while not channel.dead and channel.busy():
+                if self.loop.time() >= deadline:
+                    self.errors.append(f"drain timeout: {len(channel.pending)}"
+                                       f" frame(s) still pending for {dst}")
+                    return
+                await asyncio.sleep(0.001)
 
     async def close(self) -> None:
-        """Stop senders and listeners; safe to call more than once."""
+        """Stop channels and listeners; safe to call more than once."""
         if self._closed:
             return
         self._closed = True
-        tasks = [task for _, task in self._channels.values()]
-        for task in tasks:
-            task.cancel()
-        for task in tasks:
-            try:
-                await task
-            except asyncio.CancelledError:
-                pass
+        for channel in self._channels.values():
+            channel.close()
+        await asyncio.gather(*(c.dialer for c in self._channels.values()),
+                             return_exceptions=True)
         for runtime in self._runtimes:
             await runtime.close()
 
@@ -622,6 +627,49 @@ class LiveHub:
     def clean(self) -> bool:
         """True while no transport/dispatch error has been recorded."""
         return not self.errors
+
+
+class _Inbound(asyncio.Protocol):
+    """One accepted connection: socket bytes -> frames -> the core."""
+
+    __slots__ = ("runtime", "decoder", "transport", "closing")
+
+    def __init__(self, runtime: "LiveRuntime"):
+        self.runtime = runtime
+        self.decoder = codec.FrameDecoder()
+        self.transport: asyncio.Transport | None = None
+        self.closing = False
+
+    def connection_made(self, transport) -> None:
+        self.transport = transport
+        apply_socket_tuning(transport, self.runtime.hub.tuning)
+        self.runtime._inbound.add(self)
+
+    def data_received(self, data: bytes) -> None:
+        runtime, hub = self.runtime, self.runtime.hub
+        try:
+            for msg in self.decoder.feed(data):
+                hub.stats.messages_delivered += 1
+                runtime.core.on_message(msg)
+        except codec.CodecError as exc:
+            hub.stats.decode_errors += 1
+            hub.errors.append(f"{runtime.address}: {exc}")
+            self.close()
+        except Exception as exc:
+            hub.errors.append(f"{runtime.address}: handler failed: {exc!r}")
+            self.close()
+
+    def connection_lost(self, exc: Exception | None) -> None:
+        self.runtime._inbound.discard(self)
+        if not self.closing and self.decoder.pending_bytes:
+            # The peer vanished mid-frame (SIGKILL, cut cable): the whole
+            # frames before it were already dispatched, and the torn tail
+            # is an abrupt disconnect to count, not corruption to die on.
+            self.runtime.hub.stats.truncated_streams += 1
+
+    def close(self) -> None:
+        self.closing = True
+        self.transport.close()
 
 
 class LiveRuntime:
@@ -662,7 +710,7 @@ class LiveRuntime:
         #: keeps ``persist`` a no-op (clients, ephemeral deployments).
         self.durability = None
         self._server: asyncio.AbstractServer | None = None
-        self._reader_tasks: set[asyncio.Task] = set()
+        self._inbound: set[_Inbound] = set()
         #: (required batch id, dst, frame, kind) awaiting a group-commit
         #: sync (kind is the message-type name, for per-type chaos drop
         #: accounting at the eventual post).
@@ -689,68 +737,21 @@ class LiveRuntime:
     # ------------------------------------------------------------------
     async def start(self) -> None:
         host, port = self.hub.book.lookup(self._address)
-        self._server = await asyncio.start_server(
-            self._handle_connection, host=host, port=port
+        self._server = await self.hub.loop.create_server(
+            lambda: _Inbound(self), host=host, port=port
         )
         if port == 0:  # record the ephemeral port for later dialers
             bound = self._server.sockets[0].getsockname()[1]
             self.hub.book.set(self._address, host, bound)
 
-    async def _handle_connection(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        task = asyncio.current_task()
-        if task is not None:
-            self._reader_tasks.add(task)
-        apply_socket_tuning(writer, self.hub.tuning)
-        decoder = codec.FrameDecoder()
-        try:
-            while True:
-                data = await reader.read(65536)
-                if not data:
-                    if decoder.pending_bytes:
-                        # The peer vanished mid-frame (SIGKILL, cut
-                        # cable).  The whole frames before the clean
-                        # boundary were already dispatched; the torn
-                        # tail is an abrupt disconnect to account for,
-                        # not corruption to die on.
-                        self.hub.stats.truncated_streams += 1
-                    return
-                for msg in decoder.feed(data):
-                    self.hub.stats.messages_delivered += 1
-                    self.core.on_message(msg)
-        except asyncio.CancelledError:
-            # Shutdown path: end the reader quietly.  Re-raising would
-            # leave the task in "cancelled" state and asyncio.streams'
-            # connection_made callback logs that as an error.
-            return
-        except codec.CodecError as exc:
-            self.hub.stats.decode_errors += 1
-            self.hub.errors.append(f"{self._address}: {exc}")
-        except Exception as exc:
-            self.hub.errors.append(
-                f"{self._address}: handler failed: {exc!r}"
-            )
-        finally:
-            writer.close()
-            if task is not None:
-                # Long-lived servers see many connections come and go;
-                # only in-flight readers may be retained.
-                self._reader_tasks.discard(task)
-
     async def close(self) -> None:
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
-            self._server = None
-        for task in list(self._reader_tasks):
-            task.cancel()
-        for task in list(self._reader_tasks):
-            try:
-                await task
-            except (asyncio.CancelledError, Exception):
-                pass
-        self._reader_tasks.clear()
+        if self._server is None:
+            return
+        self._server.close()
+        for connection in list(self._inbound):
+            connection.close()
+        await self._server.wait_closed()
+        self._server = None
 
     # ------------------------------------------------------------------
     # ProtocolRuntime: identity and time
@@ -772,10 +773,9 @@ class LiveRuntime:
     def schedule_at(self, time_s: float, fn, *args) -> LiveTimer:
         return LiveTimer(self.hub, time_s - self.hub.now, fn, args)
 
-    def schedule_flush(self, delay: float, fn, *args) -> LiveTimer:
-        """Flush deadlines (replication batcher) are loop timers like any
-        other; the policy's cancel-on-threshold keeps them one-shot."""
-        return LiveTimer(self.hub, delay, fn, args)
+    #: Flush deadlines (replication batcher) are loop timers like any
+    #: other; the policy's cancel-on-threshold keeps them one-shot.
+    schedule_flush = schedule
 
     # ------------------------------------------------------------------
     # ProtocolRuntime: sends

@@ -29,6 +29,7 @@ the p50/p90/p99 reporting of the live bench.
 from __future__ import annotations
 
 import random
+import sys
 from collections import deque
 from typing import Optional
 
@@ -60,11 +61,14 @@ class DriverBase:
         self._running = False
         self._put_seq = 0
         self._session_resets_seen = client.session_resets
+        #: The session id handed to the checker and stamped into every
+        #: PUT value: formatted once, not once per operation.
+        self._session = str(client.address)
         #: op kind -> latency histogram, measured from the driver's
         #: intended start (== issue time for the closed loop).
         self.latency: dict[str, LogHistogram] = {}
         if checker is not None:
-            checker.register_client(str(client.address))
+            checker.register_client(self._session)
 
     def stop(self) -> None:
         """Stop after the in-flight operation (if any) completes."""
@@ -97,36 +101,36 @@ class DriverBase:
         if self.client.session_resets != self._session_resets_seen:
             self._session_resets_seen = self.client.session_resets
             if self.checker is not None:
-                self.checker.on_session_reset(str(self.client.address),
-                                              self.sim.now)
+                self.checker.on_session_reset(self._session, self.sim.now)
 
     # -- checker recording (shared by both drivers' reply handlers) ----
     def _checker_read(self, reply: m.GetReply) -> None:
         self._sync_session_resets()
         if self.checker is not None:
+            # Live replies carry a freshly decoded key string each; the
+            # key universe is the finite pool, so a recording checker
+            # retains one interned copy per key, not one per operation.
+            key = sys.intern(reply.key)
             self.checker.on_read(
-                str(self.client.address), reply.key,
-                (reply.key, reply.sr, reply.ut), self.sim.now,
+                self._session, key, (key, reply.sr, reply.ut), self.sim.now,
             )
 
     def _checker_write(self, key: str, reply: m.PutReply) -> None:
         self._sync_session_resets()
         if self.checker is not None:
             self.checker.on_write(
-                str(self.client.address), key,
+                self._session, key,
                 (key, self.client.m, reply.ut), self.sim.now,
             )
 
     def _checker_tx(self, reply: m.RoTxReply) -> None:
         self._sync_session_resets()
         if self.checker is not None:
-            items = [
-                (item.key, (item.key, item.sr, item.ut))
-                for item in reply.versions
-            ]
-            self.checker.on_tx_read(
-                str(self.client.address), items, self.sim.now
-            )
+            items = []
+            for item in reply.versions:
+                key = sys.intern(item.key)
+                items.append((key, (key, item.sr, item.ut)))
+            self.checker.on_tx_read(self._session, items, self.sim.now)
 
 
 class ClosedLoopClient(DriverBase):
@@ -172,7 +176,7 @@ class ClosedLoopClient(DriverBase):
         elif spec.kind == "put":
             self._put_seq += 1
             self._last_put_key = spec.key
-            value = (str(self.client.address), self._put_seq)
+            value = (self._session, self._put_seq)
             self.client.put(spec.key, value, self._on_put_reply)
         elif spec.kind == "ro_tx":
             self.client.ro_tx(spec.keys, self._on_tx_reply)
@@ -300,7 +304,7 @@ class OpenLoopClient(DriverBase):
             self.client.get(spec.key, self._on_get_reply)
         elif spec.kind == "put":
             self._put_seq += 1
-            value = (str(self.client.address), self._put_seq)
+            value = (self._session, self._put_seq)
             self._inflight = ("put", spec.key, intended)
             self.client.put(spec.key, value, self._on_put_reply)
         elif spec.kind == "ro_tx":

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import asyncio
 from dataclasses import replace
 from typing import Any
 
@@ -9,9 +10,12 @@ from repro.common.config import (
     ClockConfig,
     ClusterConfig,
     ExperimentConfig,
+    TransportTuningConfig,
     WorkloadConfig,
 )
+from repro.common.types import server_address
 from repro.harness.builders import BuiltCluster, build_cluster
+from repro.runtime.transport import AddressBook, LiveHub
 
 
 def make_cluster(
@@ -115,3 +119,71 @@ def key_on_partition(built: BuiltCluster, partition: int, rank: int = 0) -> str:
 def settle(built: BuiltCluster, seconds: float = 1.0) -> None:
     """Advance simulated time (replication / heartbeats / stabilization)."""
     built.sim.run(until=built.sim.now + seconds)
+
+
+# ----------------------------------------------------------------------
+# Live transport: a hub against a raw loopback listener
+# ----------------------------------------------------------------------
+async def until(predicate, timeout_s: float = 10.0) -> None:
+    """Poll ``predicate`` on the running loop until it holds."""
+    async def poll() -> None:
+        while not predicate():
+            await asyncio.sleep(0.005)
+    await asyncio.wait_for(poll(), timeout=timeout_s)
+
+
+class Sink(asyncio.Protocol):
+    """A raw TCP listener: records every socket read, can stall reading."""
+
+    def __init__(self, link: "Loopback"):
+        self.link = link
+
+    def connection_made(self, transport) -> None:
+        self.link.connections.append(transport)
+        if self.link.stalled:
+            transport.pause_reading()
+
+    def data_received(self, data: bytes) -> None:
+        self.link.reads.append(data)
+
+
+class Loopback:
+    """A live hub whose one destination is a :class:`Sink` on 127.0.0.1.
+
+    Transport tests observe behaviour through it: what the listener
+    received, and the hub's public counters.
+    """
+
+    DST = server_address(0, 0)
+
+    def __init__(self, stalled: bool = False,
+                 tuning: TransportTuningConfig | None = None):
+        self.book = AddressBook()
+        self.book.set(self.DST, "127.0.0.1", 0)
+        self.hub = LiveHub(self.book, tuning=tuning)
+        self.reads: list[bytes] = []
+        self.connections: list[asyncio.Transport] = []
+        self.stalled = stalled
+        self._server = None
+
+    async def listen(self) -> None:
+        loop = asyncio.get_running_loop()
+        self._server = await loop.create_server(
+            lambda: Sink(self), "127.0.0.1", 0)
+        port = self._server.sockets[0].getsockname()[1]
+        self.book.set(self.DST, "127.0.0.1", port)
+
+    @property
+    def received(self) -> bytes:
+        return b"".join(self.reads)
+
+    async def until_received(self, size: int) -> None:
+        await until(lambda: sum(map(len, self.reads)) >= size)
+
+    async def close(self) -> None:
+        await self.hub.close()
+        for connection in self.connections:
+            connection.close()
+        if self._server is not None:
+            self._server.close()
+            await self._server.wait_closed()

@@ -332,12 +332,12 @@ def test_frame_decoder_reassembles_batched_writes(data, batch_bytes):
     """The transport coalesces queued frames into multi-frame writes
     (one ``write`` per batch, capped by bytes); the decoder must yield
     the same message sequence whether frames arrive singly or in the
-    exact batches a sender would form."""
+    exact batches the transport would form."""
     msgs = [data.draw(STRATEGIES[name])
             for name in ("GetReq", "Replicate", "PutReply", "Heartbeat",
                          "GetReq", "RoTxReply")]
     frames = [codec.encode_frame(msg) for msg in msgs]
-    # Group frames the way transport._sender does: greedily, starting a
+    # Group frames the way the transport's flush does: greedily, starting a
     # new batch once the running size reaches the cap.
     batches: list[bytes] = []
     current: list[bytes] = []

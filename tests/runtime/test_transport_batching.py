@@ -1,158 +1,192 @@
-"""Unit tests pinning the sender's write-coalescing byte cap.
+"""The per-tick flush: write coalescing, its byte cap and backpressure.
 
-The regression these exist for: the sender used to check ``size <
-MAX_BATCH_BYTES`` *before* popping the next frame and append it
-unconditionally, so every batch could overshoot the cap by one whole
-frame — a frame just under the cap could double the joined allocation.
-The fixed loop pops, then checks: an over-the-cap frame is carried into
-the next batch instead (and a frame bigger than the cap on its own still
-goes out, alone).
+Everything here talks to a real loopback listener and reads the hub's
+public counters — nothing reaches into the channel objects.  TCP does
+not preserve write boundaries, so *how* frames were grouped is read from
+``hub.stats`` (``batches_sent`` / ``batched_frames`` /
+``max_batch_frames``) and *what* arrived from the listener's bytes.
+
+The cap regression these exist for: a coalescing loop that checks the
+size *before* taking the next frame overshoots the cap by one whole
+frame per write.  An over-the-cap frame must open the next write
+instead (and a frame bigger than the cap on its own still goes out,
+alone).
 """
 
 import asyncio
 
-import pytest
-
-from repro.common.types import server_address
+from helpers import Loopback
+from repro.common.config import TransportTuningConfig
 from repro.runtime import transport
-from repro.runtime.transport import AddressBook, LiveHub
+
+DST = Loopback.DST
 
 
-class FakeWriter:
-    """Records each write/writelines batch; drain() yields to the loop
-    once.  Mirrors the StreamWriter surface the sender touches."""
-
-    def __init__(self):
-        self.writes: list[bytes] = []
-        self.closed = False
-
-    def write(self, data: bytes) -> None:
-        self.writes.append(bytes(data))
-
-    def writelines(self, parts) -> None:
-        # One writelines call is one socket write; record it as such so
-        # the byte-cap assertions cover the batched path.
-        self.writes.append(b"".join(bytes(part) for part in parts))
-
-    def get_extra_info(self, name, default=None):
-        return default  # no real socket behind the fake
-
-    async def drain(self) -> None:
-        await asyncio.sleep(0)
-
-    def close(self) -> None:
-        self.closed = True
-
-
-def _run_sender(frames: list[bytes], cap: int,
-                monkeypatch) -> tuple[FakeWriter, LiveHub]:
-    """Feed ``frames`` through one sender against a fake socket."""
-    dst = server_address(0, 0)
-    book = AddressBook()
-    book.set(dst, "127.0.0.1", 1)
-    hub = LiveHub(book)
-    writer = FakeWriter()
-
-    async def fake_open_connection(host, port):
-        return None, writer
-
+def _post_in_one_tick(frames: list[bytes], cap: int, monkeypatch):
+    """Post ``frames`` within one event-loop tick over a connection that
+    is already up; return (bytes received, stats deltas of that tick)."""
     monkeypatch.setattr(transport, "MAX_BATCH_BYTES", cap)
-    monkeypatch.setattr(transport.asyncio, "open_connection",
-                        fake_open_connection)
 
-    async def run() -> None:
-        queue: asyncio.Queue = asyncio.Queue()
-        for frame in frames:
-            queue.put_nowait(frame)
-        task = asyncio.get_running_loop().create_task(
-            hub._sender(dst, queue)
-        )
-        await asyncio.wait_for(queue.join(), timeout=5.0)
-        task.cancel()
+    async def run():
+        link = Loopback()
+        await link.listen()
+        hub = link.hub
         try:
-            await task
-        except asyncio.CancelledError:
-            pass
+            hub.post_frame(DST, b"!")  # dial; the frames below find it up
+            await hub.drain()
+            await link.until_received(1)
+            stats = hub.stats
+            before = (stats.batches_sent, stats.batched_frames)
+            for frame in frames:
+                hub.post_frame(DST, frame)
+            await hub.drain()
+            await link.until_received(1 + sum(map(len, frames)))
+            assert hub.errors == []
+            assert stats.messages_dropped == 0
+            return (link.received[1:], stats.batches_sent - before[0],
+                    stats.batched_frames - before[1],
+                    stats.max_batch_frames)
+        finally:
+            await link.close()
 
-    asyncio.run(run())
-    return writer, hub
+    return asyncio.run(run())
 
 
-def test_batches_never_exceed_the_byte_cap(monkeypatch):
-    cap = 100
+def test_writes_never_exceed_the_byte_cap(monkeypatch):
     frames = [bytes([i]) * 40 for i in range(6)]  # 40B each, cap fits 2
-    writer, hub = _run_sender(frames, cap, monkeypatch)
-    for write in writer.writes:
-        assert len(write) <= cap, (
-            f"write of {len(write)}B overshot the {cap}B cap"
-        )
+    received, writes, batched, biggest = _post_in_one_tick(
+        frames, 100, monkeypatch)
     # Nothing lost, nothing reordered: the concatenation is unchanged.
-    assert b"".join(writer.writes) == b"".join(frames)
-    assert hub.stats.max_batch_frames == 2
-    assert hub.stats.messages_dropped == 0
+    assert received == b"".join(frames)
+    assert (writes, batched, biggest) == (3, 6, 2)
 
 
-def test_over_cap_frame_is_carried_into_the_next_batch(monkeypatch):
-    cap = 100
-    # 70 + 70 > cap: the second frame must open the next batch, and the
-    # 30B tail then rides with it (70 + 30 = cap, allowed).
-    frames = [b"a" * 70, b"b" * 70, b"c" * 30]
-    writer, hub = _run_sender(frames, cap, monkeypatch)
-    assert [len(w) for w in writer.writes] == [70, 100]
-    assert b"".join(writer.writes) == b"".join(frames)
+def test_over_cap_frame_opens_the_next_write(monkeypatch):
+    # 70 + 70 > cap: the second frame must open the next write, and the
+    # 30B frame then rides with it (70 + 30 == cap, allowed), leaving
+    # the last one a write of its own.  An overshooting loop would group
+    # [70, 70] [30, 10]: two writes, four batched frames.
+    frames = [b"a" * 70, b"b" * 70, b"c" * 30, b"d" * 10]
+    received, writes, batched, biggest = _post_in_one_tick(
+        frames, 100, monkeypatch)
+    assert received == b"".join(frames)
+    assert (writes, batched, biggest) == (3, 2, 2)
 
 
 def test_single_oversized_frame_still_goes_out_alone(monkeypatch):
-    cap = 100
     frames = [b"x" * 250, b"y" * 10, b"z" * 10]
-    writer, hub = _run_sender(frames, cap, monkeypatch)
-    # The oversized frame is a batch of its own; the rest coalesce.
-    assert [len(w) for w in writer.writes] == [250, 20]
-    assert b"".join(writer.writes) == b"".join(frames)
-    assert hub.stats.messages_dropped == 0
+    received, writes, batched, biggest = _post_in_one_tick(
+        frames, 100, monkeypatch)
+    # The oversized frame is a write of its own; the rest coalesce.
+    assert received == b"".join(frames)
+    assert (writes, batched, biggest) == (2, 2, 2)
 
 
 def test_boundary_frame_exactly_filling_the_cap_rides_along(monkeypatch):
-    cap = 100
     frames = [b"a" * 60, b"b" * 40]  # 60 + 40 == cap: not an overshoot
-    writer, _ = _run_sender(frames, cap, monkeypatch)
-    assert [len(w) for w in writer.writes] == [100]
+    received, writes, batched, _ = _post_in_one_tick(frames, 100, monkeypatch)
+    assert received == b"".join(frames)
+    assert (writes, batched) == (1, 2)
 
 
-def test_dead_sender_accounts_for_its_carried_frame(monkeypatch):
-    """drain()'s queue.join() must not hang on a popped-but-unwritten
-    carry when the sender dies: the cleanup releases it as dropped."""
-    cap = 100
-    dst = server_address(0, 0)
-    book = AddressBook()
-    book.set(dst, "127.0.0.1", 1)
-    hub = LiveHub(book)
-
-    class ExplodingWriter(FakeWriter):
-        async def drain(self) -> None:
-            raise ConnectionResetError("peer went away")
-
-    writer = ExplodingWriter()
-
-    async def fake_open_connection(host, port):
-        return None, writer
-
-    monkeypatch.setattr(transport, "MAX_BATCH_BYTES", cap)
-    monkeypatch.setattr(transport.asyncio, "open_connection",
-                        fake_open_connection)
+def test_frames_posted_before_the_dial_completes_arrive_first_in_order():
+    """A channel that is still dialing (here: its peer has not even
+    bound its port yet) keeps frames in post order across ticks and
+    sends them ahead of anything posted once the connection is up."""
 
     async def run() -> None:
-        queue: asyncio.Queue = asyncio.Queue()
-        # First batch fills past the cap, so a carry is pending when the
-        # write of the first batch blows up.
-        for frame in (b"a" * 70, b"b" * 70):
-            queue.put_nowait(frame)
-        task = asyncio.get_running_loop().create_task(
-            hub._sender(dst, queue)
-        )
-        await task  # the sender records the failure and returns
-        await asyncio.wait_for(queue.join(), timeout=5.0)
+        link = Loopback()
+        hub = link.hub
+        try:
+            early = [b"first ", b"second ", b"third "]
+            hub.post_frame(DST, early[0])
+            await asyncio.sleep(0.01)           # a later tick, still no peer
+            hub.post_frame(DST, early[1])
+            hub.post_frame(DST, early[2])
+            await asyncio.sleep(0.01)
+            assert hub.stats.batches_sent == 0  # nowhere to write yet
+            await link.listen()
+            await link.until_received(len(b"".join(early)))
+            hub.post_frame(DST, b"fourth")
+            await hub.drain()
+            await link.until_received(len(b"".join(early)) + 6)
+            assert link.received == b"first second third fourth"
+            assert hub.stats.messages_dropped == 0
+            assert hub.errors == []
+        finally:
+            await link.close()
 
     asyncio.run(run())
-    assert hub.stats.messages_dropped == 2  # written-batch frame + carry
-    assert hub.errors, "the sender failure must be recorded"
+
+
+def _stalled_link() -> tuple[Loopback, list[bytes]]:
+    # A small send buffer and a listener that does not read: a few MiB
+    # cannot fit in the kernel, so the transport must push back.
+    link = Loopback(stalled=True,
+                    tuning=TransportTuningConfig(sndbuf_bytes=65536))
+    frames = [bytes([i]) * 32768 for i in range(256)]  # 8 MiB
+    return link, frames
+
+
+def test_paused_transport_keeps_frames_pending_and_flushes_in_order():
+    async def run() -> None:
+        link, frames = _stalled_link()
+        await link.listen()
+        hub = link.hub
+        try:
+            for frame in frames:
+                hub.post_frame(DST, frame)
+            await asyncio.sleep(0.2)
+            # The socket backed up long before 8 MiB (32 cap-sized
+            # writes) were handed over; the rest stays with the hub.
+            stuck_at = hub.stats.batches_sent
+            assert 0 < stuck_at < 32
+            late = [b"late-%d;" % i for i in range(5)]
+            for frame in late:
+                hub.post_frame(DST, frame)
+            await asyncio.sleep(0.1)
+            assert hub.stats.batches_sent == stuck_at  # held, not written
+            for connection in link.connections:
+                connection.resume_reading()
+            await hub.drain()
+            expected = b"".join(frames + late)
+            await link.until_received(len(expected))
+            assert link.received == expected
+            assert hub.stats.messages_dropped == 0
+            assert hub.errors == []
+        finally:
+            await link.close()
+
+    asyncio.run(run())
+
+
+def test_drain_waits_for_the_transport_write_buffer(monkeypatch):
+    # With no cap in the way everything leaves the hub in one write, so
+    # nothing is pending — the bytes sit in the transport's own buffer.
+    monkeypatch.setattr(transport, "MAX_BATCH_BYTES", 1 << 30)
+
+    async def run() -> None:
+        link, frames = _stalled_link()
+        await link.listen()
+        hub = link.hub
+        try:
+            for frame in frames:
+                hub.post_frame(DST, frame)
+            try:
+                await asyncio.wait_for(hub.drain(), timeout=0.3)
+            except asyncio.TimeoutError:
+                pass
+            else:
+                raise AssertionError("drain() returned with bytes unsent")
+            for connection in link.connections:
+                connection.resume_reading()
+            await asyncio.wait_for(hub.drain(), timeout=10.0)
+            assert hub.stats.batches_sent == 1
+            expected = b"".join(frames)
+            await link.until_received(len(expected))
+            assert link.received == expected
+            assert hub.errors == []
+        finally:
+            await link.close()
+
+    asyncio.run(run())
