@@ -4,8 +4,8 @@ These justify the substrate substitution: the event engine must push
 hundreds of thousands of events per second for paper-scale sweeps to be
 tractable, and zipf sampling / vector ops are on the per-operation hot
 path.  The network send/deliver, storage chain-read and full-experiment
-benches cover the remaining hot paths that ``benchmarks/perf_trajectory.py``
-tracks across PRs (see ``BENCH_*.json``)."""
+benches cover the remaining simulator hot paths, and the frame-decoder
+bench pins the batched-chunk decode speedup."""
 
 import random
 
@@ -78,7 +78,7 @@ class _SizedMsg:
 
 
 def build_geo_network(num_dcs: int = 3, num_partitions: int = 4):
-    """A 3-DC geo network with sink endpoints (shared with perf_trajectory)."""
+    """A 3-DC geo network with sink endpoints."""
     sim = Simulator()
     latency = GeoLatencyModel(LatencyConfig(), random.Random(7))
     network = Network(sim, latency)
@@ -119,8 +119,7 @@ def test_network_send_deliver_throughput(benchmark):
 
 
 def build_loaded_store(num_keys: int = 200, chain_depth: int = 40):
-    """A partition store whose chains are ``chain_depth`` versions deep
-    (shared with perf_trajectory)."""
+    """A partition store whose chains are ``chain_depth`` versions deep."""
     store = PartitionStore()
     keys = [f"k{i}" for i in range(num_keys)]
     store.preload(keys, num_dcs=3)
@@ -158,7 +157,7 @@ def test_storage_chain_read_throughput(benchmark):
 
 
 def perf_reference_config(seed: int = 42) -> ExperimentConfig:
-    """The full-experiment reference point tracked in ``BENCH_*.json``."""
+    """The full-experiment reference point."""
     return ExperimentConfig(
         cluster=smoke_scale_cluster("pocc"),
         workload=WorkloadConfig(kind="get_put", gets_per_put=4,

@@ -255,8 +255,7 @@ class TransportTuningConfig:
       on both dialed and accepted sockets; ``0`` keeps the OS default.
     * ``event_loop`` — ``"auto"`` selects uvloop when importable and
       falls back to asyncio; ``"uvloop"`` requires it; ``"asyncio"``
-      forces the stdlib loop.  The selection actually running is
-      recorded in ``LiveReport.event_loop`` and the BENCH snapshots.
+      forces the stdlib loop.
     """
 
     tcp_nodelay: bool = True

@@ -1,9 +1,8 @@
 """Live observability: telemetry registry, metrics endpoint, tracing.
 
-Everything the repo measured before this package existed was
-post-mortem — :class:`repro.runtime.cluster.LiveReport` and the
-``BENCH_*.json`` snapshots are assembled after a run ends.  This
-package makes a *running* live cluster inspectable:
+A :class:`repro.runtime.cluster.LiveReport` is post-mortem: it is
+assembled after a run ends.  This package makes a *running* live
+cluster inspectable:
 
 * :mod:`repro.obs.telemetry` — the in-process registry of counters,
   gauge callbacks and :class:`repro.metrics.histogram.LogHistogram`

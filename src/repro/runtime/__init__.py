@@ -3,8 +3,8 @@
 This package runs the *same* protocol cores as the deterministic
 simulation, but over real sockets and wall-clock timers:
 
-* :mod:`repro.runtime.codec` — length-prefixed wire codec (msgpack when
-  available, JSON otherwise) for every message dataclass in
+* :mod:`repro.runtime.codec` — length-prefixed wire codec (compact JSON
+  payloads) for every message dataclass in
   :mod:`repro.protocols.messages`;
 * :mod:`repro.runtime.transport` — the asyncio TCP transport:
   :class:`LiveHub` (per-process loop state, connection cache, address

@@ -26,11 +26,7 @@ import dataclasses
 import json
 import sys
 
-from repro.runtime.cli import (
-    add_deployment_args,
-    config_from_args,
-    warn_slow_serializer,
-)
+from repro.runtime.cli import add_deployment_args, config_from_args
 from repro.runtime.cluster import LiveCluster
 from repro.runtime.loops import install_event_loop
 
@@ -66,7 +62,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    warn_slow_serializer()
     config = config_from_args(args)
     overrides = {"verify": True, "duration_s": args.duration}
     if args.warmup is not None:

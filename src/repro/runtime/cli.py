@@ -11,26 +11,10 @@ from __future__ import annotations
 import argparse
 import dataclasses
 
-import sys
-
 from repro.common.config import ExperimentConfig
 from repro.protocols.registry import list_protocols
-from repro.runtime import codec
 from repro.runtime.configfile import load_experiment_config
 from repro.runtime.loops import EVENT_LOOP_CHOICES
-
-
-def warn_slow_serializer() -> None:
-    """Print the slow-serializer startup warning (once, to stderr).
-
-    ``repro-serve`` and ``repro-bench-live`` call this at startup so a
-    deployment that silently fell back to JSON frames (msgpack absent) is
-    visible in its logs — BENCH_pr4 was measured on the fallback without
-    anything saying so.
-    """
-    note = codec.serializer_note()
-    if note is not None:
-        print(f"warning: {note}", file=sys.stderr)
 
 
 def add_deployment_args(parser: argparse.ArgumentParser) -> None:

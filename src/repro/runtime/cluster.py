@@ -30,8 +30,6 @@ from repro.cluster.topology import KeyPools, Topology
 from repro.harness import seeds
 from repro.metrics.collectors import MetricsRegistry
 from repro.protocols.registry import client_class, server_class
-from repro.runtime import codec
-from repro.runtime.loops import running_loop_name
 from repro.runtime.transport import (
     AddressBook,
     LiveHub,
@@ -55,7 +53,6 @@ class LiveReport:
     protocol: str
     num_dcs: int
     num_partitions: int
-    serializer: str
     duration_s: float
     total_ops: int
     throughput_ops_s: float
@@ -88,16 +85,6 @@ class LiveReport:
     #: Per-partition durability counters (empty when persistence is off):
     #: ``"dcD-pP" -> {recovered_versions, wal_records_appended, …}``.
     persistence: dict = field(default_factory=dict)
-    #: The event loop that actually ran ("uvloop" or "asyncio") — numbers
-    #: from different loops are not directly comparable.
-    event_loop: str = "asyncio"
-    #: ``os.cpu_count()`` of the measuring host; a 1 here explains away
-    #: any absent multi-process speedup.
-    cpu_count: int = 0
-    #: CPUs this process was allowed to run on (``os.sched_getaffinity``),
-    #: empty where the platform has no affinity API.  Supervised
-    #: deployments pin children, so the report shows the actual placement.
-    cpu_affinity: list = field(default_factory=list)
     #: Fault-injection accounting from the transport (empty when no chaos
     #: ran): ``chaos_dropped``/``chaos_delayed`` totals, per-message-kind
     #: drops (``dropped_by_type``) and frames that died with a crashed
@@ -120,7 +107,7 @@ class LiveReport:
         lines = [
             f"live cluster [{self.protocol}] "
             f"{self.num_dcs} DCs x {self.num_partitions} partitions "
-            f"({self.serializer} frames, {self.arrival} loop): {verdict}",
+            f"({self.arrival} loop): {verdict}",
             f"  throughput      : {self.throughput_ops_s:,.0f} ops/s "
             f"({self.total_ops} ops in {self.duration_s:.2f}s)",
             f"  verification    : {self.verification['violations']} "
@@ -706,7 +693,6 @@ class LiveCluster:
             protocol=self.config.cluster.protocol,
             num_dcs=self.topology.num_dcs,
             num_partitions=self.topology.num_partitions,
-            serializer=codec.SERIALIZER,
             duration_s=metrics.window_duration_s,
             total_ops=metrics.total_ops(),
             throughput_ops_s=metrics.throughput_ops_s(),
@@ -729,10 +715,6 @@ class LiveCluster:
             batched_frames=stats.batched_frames,
             errors=list(self.hub.errors),
             persistence=persistence_stats,
-            event_loop=running_loop_name(),
-            cpu_count=os.cpu_count() or 0,
-            cpu_affinity=(sorted(os.sched_getaffinity(0))
-                          if hasattr(os, "sched_getaffinity") else []),
             faults=faults,
             metrics_port=self.metrics_port,
         )

@@ -1,12 +1,10 @@
 """The wire codec: length-prefixed frames for every protocol message.
 
-Frame layout: a 4-byte big-endian payload length, then the payload.  The
-payload is msgpack when the ``msgpack`` package is importable and compact
-JSON otherwise — both encode the same tagged tree, so the choice only
-affects bytes on the wire, never round-trip fidelity.  Every endpoint of
-one deployment must use the same serializer (they share this module, so
-they do); install the ``fast`` extra (``pip install occ-repro[fast]``) to
-get msgpack.
+Frame layout: a 4-byte big-endian payload length, then the payload: the
+tagged tree below as compact UTF-8 JSON (no whitespace, non-ASCII kept
+as-is).  The WAL and snapshots store the same frames, so these bytes are
+also the on-disk format (pinned by
+``tests/persistence/test_format1_fixture.py``).
 
 Encoding is driven by the dataclass registry built from
 :mod:`repro.protocols.messages`: a message becomes
@@ -74,55 +72,33 @@ from repro.common.types import Address, NodeKind
 from repro.protocols import messages
 from repro.storage.version import Version
 
-try:  # pragma: no cover - exercised only where msgpack is installed
-    import msgpack  # type: ignore
-
-    def _pack(tree: Any) -> bytes:
-        return msgpack.packb(tree, use_bin_type=True)
-
-    def _unpack(payload: bytes) -> Any:
-        return msgpack.unpackb(payload, raw=False)
-
-    SERIALIZER = "msgpack"
-except ImportError:
-    def _pack(tree: Any) -> bytes:
-        return json.dumps(tree, separators=(",", ":"),
-                          ensure_ascii=False).encode("utf-8")
-
-    # The bound scanner skips json.loads()'s isinstance/detect_encoding
-    # dispatch and decode()'s whitespace regexes per call.  Our encoder
-    # never emits surrounding whitespace, so the strict stdlib path only
-    # runs for inputs the fast path cannot prove equivalent.
-    _json_raw = json.JSONDecoder().raw_decode
-
-    def _unpack(payload: bytes) -> Any:
-        # str() accepts bytes, bytearray and the frame decoder's
-        # memoryview slices alike — one copy into the text object.
-        text = str(payload, "utf-8")
-        try:
-            tree, end = _json_raw(text)
-        except ValueError:
-            return json.loads(text)  # exact stdlib error semantics
-        if end != len(text):
-            return json.loads(text)  # tolerate surrounding whitespace
-        return tree
-
-    SERIALIZER = "json"
+#: The payload serializer, recorded in the benchmark's run fingerprint.
+SERIALIZER = "json"
 
 
-def serializer_note() -> str | None:
-    """A human-readable warning when frames run on the slow fallback.
+def _pack(tree: Any) -> bytes:
+    return json.dumps(tree, separators=(",", ":"),
+                      ensure_ascii=False).encode("utf-8")
 
-    The live CLIs print this at startup so a deployment that silently
-    fell back to JSON (msgpack absent) is visible in its logs, and the
-    BENCH snapshots record :data:`SERIALIZER` so the trajectory knows
-    which serializer each number was measured under.
-    """
-    if SERIALIZER == "json":
-        return ("msgpack is not installed: wire frames fall back to JSON "
-                "(slower, larger); install the 'fast' extra "
-                "(pip install 'occ-repro[fast]')")
-    return None
+
+# The bound scanner skips json.loads()'s isinstance/detect_encoding
+# dispatch and decode()'s whitespace regexes per call.  Our encoder
+# never emits surrounding whitespace, so the strict stdlib path only
+# runs for inputs the fast path cannot prove equivalent.
+_json_raw = json.JSONDecoder().raw_decode
+
+
+def _unpack(payload: bytes) -> Any:
+    # str() accepts bytes, bytearray and the frame decoder's
+    # memoryview slices alike — one copy into the text object.
+    text = str(payload, "utf-8")
+    try:
+        tree, end = _json_raw(text)
+    except ValueError:
+        return json.loads(text)  # exact stdlib error semantics
+    if end != len(text):
+        return json.loads(text)  # tolerate surrounding whitespace
+    return tree
 
 
 _LEN = struct.Struct(">I")
@@ -524,8 +500,8 @@ def loads(payload: bytes) -> Any:
     try:
         tree = _unpack(payload)
     except Exception as exc:
-        # The serializer's own failure modes (msgpack unpack errors,
-        # json decode errors) are stream corruption to every caller.
+        # JSON decode errors (and invalid UTF-8) are stream corruption
+        # to every caller.
         raise CodecError(f"undecodable payload: {exc}") from exc
     return _dec_message(tree)
 

@@ -1,7 +1,7 @@
 """Multi-process load generation for the live backend.
 
 A single Python process tops out well below what the servers can absorb:
-the GIL serialises every client coroutine, the JSON/msgpack codec and
+the GIL serialises every client coroutine, the JSON frame codec and
 the checker onto one core.  This module shards the *exact* client set a
 single-process run would host across N worker processes — worker ``i``
 hosts the client sessions whose deterministic position ``% N == i``
@@ -151,7 +151,6 @@ def merge_worker_reports(results: list[WorkerResult],
         protocol=first.protocol,
         num_dcs=first.num_dcs,
         num_partitions=first.num_partitions,
-        serializer=first.serializer,
         duration_s=max(r.duration_s for r in reports),
         total_ops=sum(r.total_ops for r in reports),
         throughput_ops_s=sum(r.throughput_ops_s for r in reports),
@@ -178,10 +177,6 @@ def merge_worker_reports(results: list[WorkerResult],
         batches_sent=sum(r.batches_sent for r in reports),
         batched_frames=sum(r.batched_frames for r in reports),
         errors=errors,
-        event_loop=first.event_loop,
-        cpu_count=os.cpu_count() or 0,
-        cpu_affinity=(sorted(os.sched_getaffinity(0))
-                      if hasattr(os, "sched_getaffinity") else []),
     )
 
 

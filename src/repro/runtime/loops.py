@@ -4,9 +4,10 @@ uvloop (the ``fast`` extra) roughly doubles asyncio's socket throughput
 by replacing the selector event loop with libuv; everything in the live
 runtime is loop-implementation-agnostic, so selection is one policy
 switch at process startup.  ``"auto"`` uses uvloop when importable and
-falls back to the stdlib loop silently — containers without the extra
-keep working, and every ``LiveReport``/BENCH snapshot records which loop
-actually ran so numbers stay interpretable across hosts.
+falls back to the stdlib loop silently, so hosts without the extra keep
+working.  The benchmark records the value :func:`install_event_loop`
+returns in its run fingerprint, so numbers from different loops are
+never compared.
 """
 
 from __future__ import annotations
@@ -45,14 +46,3 @@ def install_event_loop(choice: str = "auto") -> str:
         return "asyncio"
     asyncio.set_event_loop_policy(uvloop.EventLoopPolicy())
     return "uvloop"
-
-
-def running_loop_name() -> str:
-    """``"uvloop"`` or ``"asyncio"`` for the loop driving the caller.
-
-    Inspects the running loop's class, so it reports the truth even when
-    :func:`install_event_loop` was never called (in-process test runs).
-    """
-    loop = asyncio.get_running_loop()
-    module = type(loop).__module__ or ""
-    return "uvloop" if module.startswith("uvloop") else "asyncio"

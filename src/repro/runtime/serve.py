@@ -26,11 +26,7 @@ import signal
 import sys
 
 from repro.cluster.topology import Topology
-from repro.runtime.cli import (
-    add_deployment_args,
-    config_from_args,
-    warn_slow_serializer,
-)
+from repro.runtime.cli import add_deployment_args, config_from_args
 from repro.runtime.cluster import LiveCluster
 from repro.runtime.loops import install_event_loop
 
@@ -111,7 +107,6 @@ async def _serve(cluster: LiveCluster, duration: float | None) -> int:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    warn_slow_serializer()
     config = config_from_args(args)
     topology = Topology(config.cluster.num_dcs,
                         config.cluster.num_partitions)

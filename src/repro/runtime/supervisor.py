@@ -47,11 +47,7 @@ from dataclasses import asdict, dataclass
 from pathlib import Path
 
 from repro.cluster.topology import Topology
-from repro.runtime.cli import (
-    add_deployment_args,
-    config_from_args,
-    warn_slow_serializer,
-)
+from repro.runtime.cli import add_deployment_args, config_from_args
 from repro.runtime.configfile import save_experiment_config
 
 #: How long the SIGTERM fan-out waits before escalating to SIGKILL.
@@ -312,7 +308,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    warn_slow_serializer()
     if args.base_port == 0:
         raise SystemExit(
             "repro-supervise needs a fixed --base-port: the children "
