@@ -316,7 +316,7 @@ async def run_reshard_live(
         clients_per_partition=config.workload.clients_per_partition,
         host=host, base_port=base_port,
     )
-    hub = LiveHub(book, tuning=cluster.transport)
+    hub = LiveHub(book)
     membership = cluster.membership
     target = ClusterView(epoch=epoch, members=tuple(members),
                          vnodes=membership.vnodes)

@@ -239,52 +239,14 @@ class AntiEntropyConfig:
 
 
 @dataclass(frozen=True, slots=True)
-class TransportTuningConfig:
-    """Socket and event-loop tuning of the *live* backend.
-
-    The simulation backend never consults this block (like
-    ``ExperimentConfig.persistence`` it is live-only), so per-seed sim
-    reports are independent of it.
-
-    * ``tcp_nodelay`` — ``True`` (default) disables Nagle on every
-      connection, matching asyncio's own default for TCP streams.
-      ``False`` re-enables Nagle so its interplay with the transport's
-      application-level write batching can be measured: with batching
-      already coalescing frames, Nagle mostly adds delayed-ACK latency.
-    * ``sndbuf_bytes`` / ``rcvbuf_bytes`` — ``SO_SNDBUF`` / ``SO_RCVBUF``
-      on both dialed and accepted sockets; ``0`` keeps the OS default.
-    * ``event_loop`` — ``"auto"`` selects uvloop when importable and
-      falls back to asyncio; ``"uvloop"`` requires it; ``"asyncio"``
-      forces the stdlib loop.
-    """
-
-    tcp_nodelay: bool = True
-    sndbuf_bytes: int = 0
-    rcvbuf_bytes: int = 0
-    event_loop: str = "auto"
-
-    def validate(self) -> None:
-        if self.event_loop not in ("auto", "uvloop", "asyncio"):
-            raise ConfigError(
-                f"event_loop must be 'auto', 'uvloop' or 'asyncio', "
-                f"not {self.event_loop!r}"
-            )
-        if self.sndbuf_bytes < 0:
-            raise ConfigError("sndbuf_bytes must be >= 0 (0 = OS default)")
-        if self.rcvbuf_bytes < 0:
-            raise ConfigError("rcvbuf_bytes must be >= 0 (0 = OS default)")
-
-
-@dataclass(frozen=True, slots=True)
 class TelemetryConfig:
     """Live observability: metrics endpoint and causal event tracing.
 
-    Like :class:`TransportTuningConfig` this block is live-only — the
-    simulation backend never consults it, so per-seed sim reports are
-    independent of every field here.  Both halves default **off**; a
-    disabled block costs one ``None`` check on the hot paths and adds
-    no bytes to any wire frame (trace ids reuse the version identity
-    ``(sr, ut)`` that replication already carries).
+    This block is live-only — the simulation backend never consults it,
+    so per-seed sim reports are independent of every field here.  Both
+    halves default **off**; a disabled block costs one ``None`` check on
+    the hot paths and adds no bytes to any wire frame (trace ids reuse
+    the version identity ``(sr, ut)`` that replication already carries).
 
     * ``enabled`` — maintain the :class:`repro.obs.telemetry.Telemetry`
       registry and serve ``/metrics`` + ``/vars.json`` over HTTP.
@@ -292,8 +254,6 @@ class TelemetryConfig:
       port map (one endpoint per hosted server, assigned in
       ``Topology.all_servers()`` order, mirroring ``AddressBook``).
       ``0`` binds an ephemeral port (single-process runs only).
-    * ``loop_probe_interval_s`` — period of the event-loop lag probe
-      (armed only while telemetry is enabled).
     * ``trace`` — emit sampled causal-lifecycle spans
       (``put → wal_synced → replicate_sent → installed → visible``)
       as JSONL under ``trace_dir``.
@@ -305,7 +265,6 @@ class TelemetryConfig:
 
     enabled: bool = False
     metrics_base_port: int = 0
-    loop_probe_interval_s: float = 0.25
     trace: bool = False
     trace_dir: str = ""
     trace_sample_every: int = 64
@@ -314,10 +273,6 @@ class TelemetryConfig:
         if self.metrics_base_port < 0 or self.metrics_base_port > 65535:
             raise ConfigError(
                 "telemetry.metrics_base_port must be in [0, 65535]"
-            )
-        if self.loop_probe_interval_s <= 0:
-            raise ConfigError(
-                "telemetry.loop_probe_interval_s must be > 0"
             )
         if self.trace and not self.trace_dir:
             raise ConfigError("telemetry.trace requires a trace_dir")
@@ -395,10 +350,6 @@ class ClusterConfig:
     num_partitions: int = 4
     cores_per_node: int = 2
     keys_per_partition: int = 1000
-    #: Nominal sizes used only for message byte accounting (Section V-A uses
-    #: 8-byte keys and values).
-    key_size_bytes: int = 8
-    value_size_bytes: int = 8
     protocol: str = "pocc"
     latency: LatencyConfig = field(default_factory=LatencyConfig)
     clocks: ClockConfig = field(default_factory=ClockConfig)
@@ -409,10 +360,6 @@ class ClusterConfig:
     )
     anti_entropy: AntiEntropyConfig = field(
         default_factory=AntiEntropyConfig
-    )
-    #: Live-backend socket/event-loop tuning; ignored by the simulation.
-    transport: TransportTuningConfig = field(
-        default_factory=TransportTuningConfig
     )
     #: Live observability (metrics endpoint + tracing); ignored by the
     #: simulation.
@@ -436,7 +383,6 @@ class ClusterConfig:
         self.protocol_config.validate()
         self.repl_batch.validate()
         self.anti_entropy.validate()
-        self.transport.validate()
         self.telemetry.validate()
         self.membership.validate()
         if self.membership.initial_members is not None:

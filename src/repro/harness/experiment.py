@@ -16,7 +16,6 @@ from repro.common.config import ExperimentConfig
 from repro.common.types import OpType
 from repro.harness.builders import BuiltCluster, build_cluster
 from repro.metrics.collectors import (
-    ALL_BLOCK_CAUSES,
     BLOCK_GET_VV,
     BLOCK_PUT_DEPS,
     BLOCK_SLICE_VV,

@@ -28,11 +28,7 @@ from repro.common.config import ClusterConfig, ExperimentConfig, WorkloadConfig
 from repro.harness.experiment import ExperimentResult
 from repro.harness.parallel import run_experiments
 from repro.harness.scales import FigureScale, get_scale
-from repro.metrics.collectors import (
-    BLOCK_GET_VV,
-    BLOCK_PUT_DEPS,
-    BLOCK_SLICE_VV,
-)
+from repro.metrics.collectors import BLOCK_PUT_DEPS, BLOCK_SLICE_VV
 
 POCC = "pocc"
 CURE = "cure"

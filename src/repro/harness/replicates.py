@@ -22,7 +22,7 @@ from typing import Callable, Sequence
 
 from repro.common.config import ExperimentConfig
 from repro.common.errors import ConfigError
-from repro.harness.experiment import ExperimentResult, run_experiment
+from repro.harness.experiment import ExperimentResult
 from repro.harness.parallel import run_seeded
 
 #: Default headline metrics extracted from every run.

@@ -25,7 +25,6 @@ from repro.clocks.physical import PhysicalClock
 from repro.clocks.vector import (
     vec_aggregate_min,
     vec_covers,
-    vec_leq,
     vec_max,
     vec_max_inplace,
     vec_min,

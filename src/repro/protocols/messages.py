@@ -11,7 +11,7 @@ communication-overhead comparison, not any protocol decision.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Sequence
 
 from repro.common.types import Address, Micros, ReplicaId

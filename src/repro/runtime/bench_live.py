@@ -28,7 +28,6 @@ import sys
 
 from repro.runtime.cli import add_deployment_args, config_from_args
 from repro.runtime.cluster import LiveCluster
-from repro.runtime.loops import install_event_loop
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -69,7 +68,6 @@ def main(argv: list[str] | None = None) -> int:
     config = dataclasses.replace(config, **overrides)
     config.validate()
 
-    install_event_loop(config.cluster.transport.event_loop)
     if args.driver_processes > 1:
         from repro.runtime.loadgen import run_sharded_load
         sharded = run_sharded_load(

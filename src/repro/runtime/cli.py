@@ -14,7 +14,6 @@ import dataclasses
 from repro.common.config import ExperimentConfig
 from repro.protocols.registry import list_protocols
 from repro.runtime.configfile import load_experiment_config
-from repro.runtime.loops import EVENT_LOOP_CHOICES
 
 
 def add_deployment_args(parser: argparse.ArgumentParser) -> None:
@@ -70,21 +69,6 @@ def add_deployment_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--snapshot-interval", type=float, metavar="S",
                         help="seconds between chain snapshots + WAL "
                              "truncation (0 disables; default: config)")
-    parser.add_argument("--event-loop", choices=EVENT_LOOP_CHOICES,
-                        help="asyncio event loop implementation: 'auto' "
-                             "picks uvloop when installed (the 'fast' "
-                             "extra), 'uvloop' requires it, 'asyncio' "
-                             "forces the stdlib loop (default: config "
-                             "file, else 'auto')")
-    parser.add_argument("--tcp-nodelay", choices=("on", "off"),
-                        help="TCP_NODELAY on live sockets (default: on; "
-                             "'off' re-enables Nagle batching)")
-    parser.add_argument("--sndbuf", type=int, metavar="BYTES",
-                        help="SO_SNDBUF hint for live sockets "
-                             "(0 = kernel default)")
-    parser.add_argument("--rcvbuf", type=int, metavar="BYTES",
-                        help="SO_RCVBUF hint for live sockets "
-                             "(0 = kernel default)")
     parser.add_argument("--metrics-port", type=int, metavar="PORT",
                         help="enable live telemetry: serve /metrics and "
                              "/vars.json, one endpoint per hosted server "
@@ -124,19 +108,6 @@ def config_from_args(args: argparse.Namespace) -> ExperimentConfig:
             repl_overrides["flush_ms"] = args.repl_flush_ms
         cluster_overrides["repl_batch"] = dataclasses.replace(
             cluster.repl_batch, **repl_overrides
-        )
-    transport_overrides = {}
-    if args.event_loop is not None:
-        transport_overrides["event_loop"] = args.event_loop
-    if args.tcp_nodelay is not None:
-        transport_overrides["tcp_nodelay"] = args.tcp_nodelay == "on"
-    if args.sndbuf is not None:
-        transport_overrides["sndbuf_bytes"] = args.sndbuf
-    if args.rcvbuf is not None:
-        transport_overrides["rcvbuf_bytes"] = args.rcvbuf
-    if transport_overrides:
-        cluster_overrides["transport"] = dataclasses.replace(
-            cluster.transport, **transport_overrides
         )
     telemetry_overrides: dict = {}
     if args.metrics_port is not None:

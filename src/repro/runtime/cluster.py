@@ -45,6 +45,9 @@ from repro.workload.generators import make_workload
 #: How long quiescing waits for in-flight operations after drivers stop.
 SETTLE_TIMEOUT_S = 10.0
 
+#: Period of the event-loop lag probe (armed only while telemetry is on).
+LOOP_PROBE_INTERVAL_S = 0.25
+
 
 @dataclass(slots=True)
 class LiveReport:
@@ -203,7 +206,7 @@ class LiveCluster:
             host=host,
             base_port=base_port,
         )
-        self.hub = LiveHub(self.book, tuning=cluster.transport)
+        self.hub = LiveHub(self.book)
         self.servers: dict[Address, Any] = {}
         self.clients: list[Any] = []
         self.drivers: list[DriverBase] = []
@@ -479,7 +482,7 @@ class LiveCluster:
         from repro.obs.httpd import MetricsServer
         from repro.obs.telemetry import LoopLagProbe
         cfg = self.config.cluster.telemetry
-        probe = LoopLagProbe(self.hub.loop, cfg.loop_probe_interval_s)
+        probe = LoopLagProbe(self.hub.loop, LOOP_PROBE_INTERVAL_S)
         probe.start()
         self._loop_probe = probe
         self.telemetry.gauge("repro_event_loop_lag_seconds",

@@ -37,7 +37,6 @@ from repro.common.config import (
     ReplicationBatchConfig,
     ServiceTimeConfig,
     TelemetryConfig,
-    TransportTuningConfig,
     WorkloadConfig,
 )
 from repro.common.errors import ConfigError
@@ -68,7 +67,6 @@ def experiment_config_from_dict(data: dict[str, Any]) -> ExperimentConfig:
                          ("protocol_config", ProtocolConfig),
                          ("repl_batch", ReplicationBatchConfig),
                          ("anti_entropy", AntiEntropyConfig),
-                         ("transport", TransportTuningConfig),
                          ("telemetry", TelemetryConfig),
                          ("membership", MembershipConfig)):
         if key in cluster_data:

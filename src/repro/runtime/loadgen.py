@@ -47,7 +47,6 @@ from repro.runtime.configfile import (
     experiment_config_from_dict,
     experiment_config_to_dict,
 )
-from repro.runtime.loops import install_event_loop
 
 
 @dataclass(slots=True)
@@ -67,7 +66,6 @@ def _worker_main(config_data: dict[str, Any], host: str, base_port: int,
     """Entry point of one spawned load worker (module-level: spawn
     pickles the reference, not the function)."""
     config = experiment_config_from_dict(config_data)
-    install_event_loop(config.cluster.transport.event_loop)
     cluster = LiveCluster(
         config,
         host=host,

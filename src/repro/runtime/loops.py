@@ -1,48 +1,22 @@
-"""Event-loop selection for the live backend.
+"""Event-loop policy of the live backend: the stdlib loop, always.
 
-uvloop (the ``fast`` extra) roughly doubles asyncio's socket throughput
-by replacing the selector event loop with libuv; everything in the live
-runtime is loop-implementation-agnostic, so selection is one policy
-switch at process startup.  ``"auto"`` uses uvloop when importable and
-falls back to the stdlib loop silently, so hosts without the extra keep
-working.  The benchmark records the value :func:`install_event_loop`
-returns in its run fingerprint, so numbers from different loops are
-never compared.
+The live runtime runs on asyncio's default selector event loop and
+nothing else; there is no loop choice to make.  :func:`install_event_loop`
+remains only because the benchmark calls it before each run and records
+its return value in the run fingerprint: it restores the default policy
+and returns ``"asyncio"``, so fingerprints stay comparable across
+versions.
 """
 
 from __future__ import annotations
 
 import asyncio
 
-from repro.common.errors import ConfigError
-
-#: Valid values of ``TransportTuningConfig.event_loop`` / ``--event-loop``.
-EVENT_LOOP_CHOICES = ("auto", "uvloop", "asyncio")
-
 
 def install_event_loop(choice: str = "auto") -> str:
-    """Install the requested event-loop policy; return what will run.
+    """Restore asyncio's default event-loop policy; return ``"asyncio"``.
 
-    Call once per process, before ``asyncio.run``.  ``"uvloop"`` raises
-    :class:`ConfigError` when uvloop is not importable; ``"auto"`` falls
-    back to ``"asyncio"``.
+    ``choice`` is accepted and ignored: the stdlib loop is the only one.
     """
-    if choice not in EVENT_LOOP_CHOICES:
-        raise ConfigError(
-            f"event_loop must be one of {EVENT_LOOP_CHOICES}, not {choice!r}"
-        )
-    if choice == "asyncio":
-        asyncio.set_event_loop_policy(None)  # back to the stdlib default
-        return "asyncio"
-    try:
-        import uvloop  # type: ignore
-    except ImportError:
-        if choice == "uvloop":
-            raise ConfigError(
-                "event_loop='uvloop' but uvloop is not installed; "
-                "install the 'fast' extra (pip install 'occ-repro[fast]') "
-                "or use --event-loop auto"
-            ) from None
-        return "asyncio"
-    asyncio.set_event_loop_policy(uvloop.EventLoopPolicy())
-    return "uvloop"
+    asyncio.set_event_loop_policy(None)
+    return "asyncio"

@@ -28,7 +28,6 @@ import sys
 from repro.cluster.topology import Topology
 from repro.runtime.cli import add_deployment_args, config_from_args
 from repro.runtime.cluster import LiveCluster
-from repro.runtime.loops import install_event_loop
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -117,8 +116,6 @@ def main(argv: list[str] | None = None) -> int:
         serve_addresses=_served_addresses(args, topology),
         with_clients=False,
     )
-    loop_name = install_event_loop(config.cluster.transport.event_loop)
-    print(f"event loop: {loop_name}", file=sys.stderr)
     return asyncio.run(_serve(cluster, args.duration))
 
 

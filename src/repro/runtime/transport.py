@@ -33,13 +33,11 @@ from __future__ import annotations
 
 import asyncio
 import random
-import socket
 import time
 from collections import deque
 from dataclasses import dataclass
 from typing import Any, Iterable
 
-from repro.common.config import TransportTuningConfig
 from repro.common.errors import ReproError
 from repro.common.types import Address, reshard_controller_address
 from repro.cluster.topology import Topology
@@ -126,34 +124,6 @@ LIVE_EPOCH_UNIX_S = 1_767_225_600
 
 class TransportError(ReproError):
     """Raised on address-book or connection misuse."""
-
-
-def apply_socket_tuning(transport: asyncio.BaseTransport,
-                        tuning: TransportTuningConfig) -> None:
-    """Apply the configured socket knobs to one connection's socket.
-
-    Best-effort: non-TCP transports (or platforms rejecting an option)
-    keep their defaults — tuning is a performance lever, never a
-    correctness requirement.
-    """
-    sock = transport.get_extra_info("socket")
-    if sock is None:
-        return
-    try:
-        # asyncio enables TCP_NODELAY on TCP sockets by default; setting
-        # it explicitly both covers loops that do not and lets
-        # `tcp_nodelay=False` hand the coalescing decision back to Nagle
-        # (to measure its interplay with application-level batching).
-        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY,
-                        1 if tuning.tcp_nodelay else 0)
-        if tuning.sndbuf_bytes:
-            sock.setsockopt(socket.SOL_SOCKET, socket.SO_SNDBUF,
-                            tuning.sndbuf_bytes)
-        if tuning.rcvbuf_bytes:
-            sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF,
-                            tuning.rcvbuf_bytes)
-    except OSError:
-        pass
 
 
 class AddressBook:
@@ -391,7 +361,6 @@ class _Channel(asyncio.Protocol):
             transport.abort()
             return
         self.transport = transport
-        apply_socket_tuning(transport, self.hub.tuning)
         self.flush()
 
     def connection_lost(self, exc: Exception | None) -> None:
@@ -426,8 +395,8 @@ class _Channel(asyncio.Protocol):
             if count == 1:
                 transport.write(frames[start])
             else:
-                # writev-style: uvloop scatters the list to the socket,
-                # the stdlib loop defers any join to C.
+                # One write per batch: the selector transport joins the
+                # list in C (3.12+ hands it to sendmsg unjoined).
                 transport.writelines(frames[start:end])
                 stats.batched_frames += count
                 if count > stats.max_batch_frames:
@@ -440,12 +409,9 @@ class _Channel(asyncio.Protocol):
 class LiveHub:
     """Per-process live-backend state: epoch, loop, connections, errors."""
 
-    def __init__(self, book: AddressBook,
-                 tuning: TransportTuningConfig | None = None):
+    def __init__(self, book: AddressBook):
         self.book = book
         self.stats = LiveStats()
-        #: Socket knobs applied to every dialed and accepted connection.
-        self.tuning = tuning if tuning is not None else TransportTuningConfig()
         #: Outgoing-connection retry behavior (chaos runs tighten it).
         self.connect_policy = ConnectRetryPolicy()
         #: Chaos hooks: directed (src DC, dst DC) -> LinkFault.  Applied
@@ -642,7 +608,6 @@ class _Inbound(asyncio.Protocol):
 
     def connection_made(self, transport) -> None:
         self.transport = transport
-        apply_socket_tuning(transport, self.runtime.hub.tuning)
         self.runtime._inbound.add(self)
 
     def data_received(self, data: bytes) -> None:

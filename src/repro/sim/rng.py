@@ -12,8 +12,6 @@ from __future__ import annotations
 import random
 import zlib
 
-import numpy as np
-
 
 def _derive_seed(root_seed: int, name: str) -> int:
     """Stable 63-bit seed for a named stream under a root seed."""
@@ -27,7 +25,6 @@ class RngRegistry:
     def __init__(self, root_seed: int):
         self._root_seed = int(root_seed)
         self._py_streams: dict[str, random.Random] = {}
-        self._np_streams: dict[str, np.random.Generator] = {}
 
     @property
     def root_seed(self) -> int:
@@ -39,14 +36,6 @@ class RngRegistry:
         if rng is None:
             rng = random.Random(_derive_seed(self._root_seed, name))
             self._py_streams[name] = rng
-        return rng
-
-    def numpy_stream(self, name: str) -> np.random.Generator:
-        """A NumPy generator stream (vectorized sampling)."""
-        rng = self._np_streams.get(name)
-        if rng is None:
-            rng = np.random.default_rng(_derive_seed(self._root_seed, name))
-            self._np_streams[name] = rng
         return rng
 
     def fork(self, name: str) -> "RngRegistry":

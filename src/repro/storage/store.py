@@ -2,9 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Any, Iterable, Iterator, Sequence
-
-from typing import Callable
+from typing import Any, Callable, Iterable, Iterator, Sequence
 
 from repro.common.types import Micros, ReplicaId
 from repro.storage.chain import VersionChain

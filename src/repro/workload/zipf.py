@@ -10,10 +10,26 @@ the simulation uses.
 from __future__ import annotations
 
 import random
-
-import numpy as np
+from array import array
+from bisect import bisect_left
+from functools import lru_cache
+from itertools import accumulate
 
 from repro.common.errors import ConfigError
+
+
+@lru_cache(maxsize=8)
+def _cdf(num_items: int, theta: float) -> array:
+    """The rank CDF, shared read-only by every generator of one shape.
+
+    A left-to-right running sum in doubles, then one division per entry
+    by the last: the same float operations, in the same order, as a
+    cumulative sum normalised by its final element.
+    """
+    sums = array("d", accumulate(
+        1.0 / float(i) ** theta for i in range(1, num_items + 1)))
+    total = sums[-1]
+    return array("d", (s / total for s in sums))
 
 
 class ZipfGenerator:
@@ -27,19 +43,15 @@ class ZipfGenerator:
         self.num_items = num_items
         self.theta = theta
         self._rng = rng
-        weights = 1.0 / np.power(np.arange(1, num_items + 1, dtype=float),
-                                 theta)
-        self._cdf = np.cumsum(weights)
-        self._cdf /= self._cdf[-1]
+        self._cdf = _cdf(num_items, theta)
 
     def sample(self) -> int:
         """One rank in [0, num_items)."""
-        u = self._rng.random()
-        return int(np.searchsorted(self._cdf, u, side="left"))
+        return bisect_left(self._cdf, self._rng.random())
 
     def probability(self, rank: int) -> float:
         """The probability mass of a given rank."""
         if not 0 <= rank < self.num_items:
             raise ConfigError(f"rank {rank} out of range")
         lower = self._cdf[rank - 1] if rank > 0 else 0.0
-        return float(self._cdf[rank] - lower)
+        return self._cdf[rank] - lower

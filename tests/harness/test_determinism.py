@@ -7,6 +7,7 @@ event ordering, RNG stream derivation, dict iteration, and float
 arithmetic must all be stable run-to-run within a process.
 """
 
+import hashlib
 import json
 from dataclasses import asdict
 
@@ -40,6 +41,26 @@ def _report_bytes(protocol: str) -> bytes:
 @pytest.mark.parametrize("protocol", ("pocc", "okapi"))
 def test_metrics_reports_byte_identical_across_runs(protocol):
     assert _report_bytes(protocol) == _report_bytes(protocol)
+
+
+#: SHA-256 of ``_report_bytes(protocol)``, the same under any
+#: PYTHONHASHSEED.  The tests above compare two runs of one tree; these
+#: pin the report across commits.  Only a declared protocol change may
+#: move them: anything else that does is a determinism regression.
+PINNED_REPORT_SHA256 = {
+    "pocc": "99ce209b17f96a8758ab6bcb04662b9f"
+            "417fe8257b201879060ceffe690be703",
+    "cure": "31c987c16bf1dd687320a64b87533ac3"
+            "292b4e10db2ca660af75a2813044e209",
+    "okapi": "49494d70bc372ec10b508e8f16849fa7"
+             "f798756c19dfe208a8f4f6675b89c535",
+}
+
+
+@pytest.mark.parametrize("protocol", sorted(PINNED_REPORT_SHA256))
+def test_metrics_reports_match_the_pinned_digest(protocol):
+    digest = hashlib.sha256(_report_bytes(protocol)).hexdigest()
+    assert digest == PINNED_REPORT_SHA256[protocol]
 
 
 def test_summary_text_byte_identical_across_runs():

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import asyncio
+import socket
 from dataclasses import replace
 from typing import Any
 
@@ -10,7 +11,6 @@ from repro.common.config import (
     ClockConfig,
     ClusterConfig,
     ExperimentConfig,
-    TransportTuningConfig,
     WorkloadConfig,
 )
 from repro.common.types import server_address
@@ -156,20 +156,28 @@ class Loopback:
 
     DST = server_address(0, 0)
 
-    def __init__(self, stalled: bool = False,
-                 tuning: TransportTuningConfig | None = None):
+    def __init__(self, stalled: bool = False, rcvbuf_bytes: int = 0):
         self.book = AddressBook()
         self.book.set(self.DST, "127.0.0.1", 0)
-        self.hub = LiveHub(self.book, tuning=tuning)
+        self.hub = LiveHub(self.book)
         self.reads: list[bytes] = []
         self.connections: list[asyncio.Transport] = []
         self.stalled = stalled
+        #: ``SO_RCVBUF`` of the listening socket (0 = kernel default).
+        #: Set before ``listen()``, so accepted sockets inherit it and
+        #: advertise a window no larger than it.
+        self.rcvbuf_bytes = rcvbuf_bytes
         self._server = None
 
     async def listen(self) -> None:
         loop = asyncio.get_running_loop()
+        sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+        if self.rcvbuf_bytes:
+            sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF,
+                            self.rcvbuf_bytes)
+        sock.bind(("127.0.0.1", 0))
         self._server = await loop.create_server(
-            lambda: Sink(self), "127.0.0.1", 0)
+            lambda: Sink(self), sock=sock)
         port = self._server.sockets[0].getsockname()[1]
         self.book.set(self.DST, "127.0.0.1", port)
 

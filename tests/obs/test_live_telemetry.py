@@ -20,6 +20,7 @@ from repro.common.config import (
     WorkloadConfig,
 )
 from repro.obs.tracing import group_by_trace, read_spans
+from repro.runtime import cluster as live_cluster
 from repro.runtime.cluster import LiveCluster
 
 #: Families every server-hosting endpoint must expose (the CI scrape
@@ -41,7 +42,6 @@ EXPECTED_FAMILIES = (
 def _config(tmp_path, trace: bool) -> ExperimentConfig:
     telemetry = TelemetryConfig(
         enabled=True,
-        loop_probe_interval_s=0.05,
         trace=trace,
         trace_dir=str(tmp_path / "traces") if trace else "",
         trace_sample_every=1,  # sample everything: short window
@@ -115,7 +115,10 @@ def _ops_total(text: str) -> float:
 def scraped(tmp_path_factory):
     tmp_path = tmp_path_factory.mktemp("live-telemetry")
     cluster = LiveCluster(_config(tmp_path, trace=True))
-    out = asyncio.run(_run_and_scrape(cluster))
+    with pytest.MonkeyPatch.context() as patch:
+        # Probe often enough to fire many times in the short window.
+        patch.setattr(live_cluster, "LOOP_PROBE_INTERVAL_S", 0.05)
+        out = asyncio.run(_run_and_scrape(cluster))
     return (*out, tmp_path)
 
 

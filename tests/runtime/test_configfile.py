@@ -119,47 +119,10 @@ def test_repl_batch_cli_flags_enable_protocol_batching():
     assert not config_from_args(args).cluster.repl_batch.enabled
 
 
-def test_transport_block_round_trips(tmp_path):
-    path = tmp_path / "cluster.json"
-    original = experiment_config_from_dict({
-        "cluster": {
-            "num_dcs": 2, "num_partitions": 2,
-            "transport": {"tcp_nodelay": False, "sndbuf_bytes": 65536,
-                          "rcvbuf_bytes": 131072, "event_loop": "asyncio"},
-        },
-    })
-    assert original.cluster.transport.sndbuf_bytes == 65536
-    assert not original.cluster.transport.tcp_nodelay
-    save_experiment_config(original, str(path))
-    assert load_experiment_config(str(path)) == original
-    # Omitted block keeps the defaults (nodelay on, auto loop).
-    defaults = experiment_config_from_dict({}).cluster.transport
-    assert defaults.tcp_nodelay and defaults.event_loop == "auto"
-    with pytest.raises(ConfigError, match="unknown key"):
+def test_transport_block_is_rejected_as_unknown_key():
+    # The live backend has one I/O configuration (stdlib loop, asyncio's
+    # TCP_NODELAY, kernel buffer sizes): no "transport" block is left.
+    with pytest.raises(ConfigError, match=r"unknown key.*'transport'"):
         experiment_config_from_dict(
-            {"cluster": {"transport": {"nodelay": True}}}
+            {"cluster": {"transport": {"tcp_nodelay": True}}}
         )
-    with pytest.raises(ConfigError, match="event_loop"):
-        experiment_config_from_dict(
-            {"cluster": {"transport": {"event_loop": "twisted"}}}
-        )
-
-
-def test_transport_cli_flags_override_the_config():
-    from repro.runtime.bench_live import build_parser
-    from repro.runtime.cli import config_from_args
-
-    args = build_parser().parse_args(
-        ["--event-loop", "asyncio", "--tcp-nodelay", "off",
-         "--sndbuf", "65536", "--rcvbuf", "32768"]
-    )
-    tuning = config_from_args(args).cluster.transport
-    assert tuning.event_loop == "asyncio"
-    assert not tuning.tcp_nodelay
-    assert tuning.sndbuf_bytes == 65536
-    assert tuning.rcvbuf_bytes == 32768
-
-    # Without the flags the defaults survive untouched.
-    args = build_parser().parse_args([])
-    tuning = config_from_args(args).cluster.transport
-    assert tuning.event_loop == "auto" and tuning.tcp_nodelay

@@ -16,7 +16,6 @@ alone).
 import asyncio
 
 from helpers import Loopback
-from repro.common.config import TransportTuningConfig
 from repro.runtime import transport
 
 DST = Loopback.DST
@@ -120,10 +119,11 @@ def test_frames_posted_before_the_dial_completes_arrive_first_in_order():
 
 
 def _stalled_link() -> tuple[Loopback, list[bytes]]:
-    # A small send buffer and a listener that does not read: a few MiB
-    # cannot fit in the kernel, so the transport must push back.
-    link = Loopback(stalled=True,
-                    tuning=TransportTuningConfig(sndbuf_bytes=65536))
+    # A listener that does not read, on a socket with a small receive
+    # buffer: its window closes at once, and 8 MiB cannot fit in the
+    # sender's kernel buffer either (autotuned up to the tcp_wmem
+    # maximum, 4 MiB by default), so the transport must push back.
+    link = Loopback(stalled=True, rcvbuf_bytes=65536)
     frames = [bytes([i]) * 32768 for i in range(256)]  # 8 MiB
     return link, frames
 

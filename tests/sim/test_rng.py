@@ -39,18 +39,6 @@ def test_stream_isolation_from_creation_order():
     assert seq_direct == seq_after_noise
 
 
-def test_numpy_streams_reproducible():
-    a = RngRegistry(7).numpy_stream("np").standard_normal(4)
-    b = RngRegistry(7).numpy_stream("np").standard_normal(4)
-    assert (a == b).all()
-
-
-def test_numpy_and_py_streams_coexist():
-    registry = RngRegistry(7)
-    assert registry.stream("s").random() is not None
-    assert registry.numpy_stream("s").random() is not None
-
-
 def test_fork_is_independent_of_parent():
     parent = RngRegistry(42)
     child = parent.fork("child")

@@ -2,6 +2,7 @@
 
 import random
 
+import numpy as np
 import pytest
 
 from repro.common.errors import ConfigError
@@ -70,3 +71,20 @@ def test_deterministic_given_seed():
     a = ZipfGenerator(100, 0.99, random.Random(42))
     b = ZipfGenerator(100, 0.99, random.Random(42))
     assert [a.sample() for _ in range(20)] == [b.sample() for _ in range(20)]
+
+
+@pytest.mark.parametrize("theta", (0.0, 0.5, 0.99, 1.2))
+@pytest.mark.parametrize("n", (1, 10, 100, 1000, 10000))
+def test_bit_identical_to_numpy_reference(n, theta):
+    """numpy as a test-only oracle: the CDF is a cumulative sum normalised
+    by its last element, and a sample is a left-side binary search of
+    one uniform draw, both to the last bit."""
+    reference = np.cumsum(1.0 / np.power(np.arange(1, n + 1, dtype=float),
+                                         theta))
+    reference /= reference[-1]
+    zipf = ZipfGenerator(n, theta, random.Random(n))
+    assert list(zipf._cdf) == reference.tolist()
+    draws = random.Random(n)
+    uniforms = [draws.random() for _ in range(20000)]
+    expected = np.searchsorted(reference, uniforms, side="left").tolist()
+    assert [zipf.sample() for _ in range(20000)] == expected
